@@ -12,7 +12,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
+	"asfstack"
 	"asfstack/internal/intset"
 	"asfstack/internal/metrics"
 	"asfstack/internal/server"
@@ -20,9 +22,13 @@ import (
 	"asfstack/internal/stamp"
 )
 
+// runtimeHelp is the -runtime flag's usage text: every accepted runtime
+// name, in figure order.
+func runtimeHelp() string { return strings.Join(asfstack.RuntimeNames, ", ") }
+
 func main() {
 	workload := flag.String("workload", "intset", "intset, stamp, or server")
-	runtimeName := flag.String("runtime", "LLB-256", "LLB-8, LLB-256, LLB-8 w/ L1, LLB-256 w/ L1, STM, Sequential")
+	runtimeName := flag.String("runtime", "LLB-256", runtimeHelp())
 	threads := flag.Int("threads", 4, "simulated cores (ignored when -topology is set)")
 	seed := flag.Int64("seed", 42, "random seed")
 	topology := flag.String("topology", "",

@@ -148,8 +148,8 @@ type Stats struct {
 // Hierarchy is the full multicore memory system.
 type Hierarchy struct {
 	cfg   Config
-	cores []*coreCaches
-	l3s   []*array // one slice per socket; index 0 is the whole L3 when single-socket
+	cores []coreCaches
+	l3s   []array // one slice per socket; index 0 is the whole L3 when single-socket
 	dir   dirTable
 	stats []Stats
 
@@ -158,6 +158,13 @@ type Hierarchy struct {
 
 	onEvict EvictFn
 	tick    uint64 // LRU clock
+
+	// staleHolders is set once a speculative-read mark has been lost with
+	// its line kept in L2 (see fillPrivate). That L2 copy sits outside the
+	// holder mask, so a later L2 hit can add its core next to a remote
+	// dirty owner; until then, a dirty L1 line implies that its core is
+	// the sole holder and the owner.
+	staleHolders bool
 }
 
 type lineState struct {
@@ -166,9 +173,9 @@ type lineState struct {
 }
 
 type coreCaches struct {
-	l1, l2 *array
-	tlb1   *tlbArray
-	tlb2   *tlbArray
+	l1, l2 array
+	tlb1   tlbArray
+	tlb2   tlbArray
 }
 
 // New builds a hierarchy for n cores. cfg.Sockets must divide n evenly
@@ -187,21 +194,22 @@ func New(n int, cfg Config) *Hierarchy {
 	}
 	h := &Hierarchy{
 		cfg:      cfg,
+		cores:    make([]coreCaches, n),
+		l3s:      make([]array, sockets),
 		stats:    make([]Stats, n),
 		sockets:  sockets,
 		coresPer: n / sockets,
 	}
-	for s := 0; s < sockets; s++ {
-		h.l3s = append(h.l3s, newArray(cfg.L3Size, cfg.L3Assoc))
+	for s := range h.l3s {
+		h.l3s[s].init(cfg.L3Size, cfg.L3Assoc)
 	}
 	h.dir.init()
-	for i := 0; i < n; i++ {
-		h.cores = append(h.cores, &coreCaches{
-			l1:   newArray(cfg.L1Size, cfg.L1Assoc),
-			l2:   newArray(cfg.L2Size, cfg.L2Assoc),
-			tlb1: newTLB(cfg.TLB1Entries, cfg.TLB1Entries), // fully associative
-			tlb2: newTLB(cfg.TLB2Entries, cfg.TLB2Assoc),
-		})
+	for i := range h.cores {
+		cc := &h.cores[i]
+		cc.l1.init(cfg.L1Size, cfg.L1Assoc)
+		cc.l2.init(cfg.L2Size, cfg.L2Assoc)
+		cc.tlb1.init(cfg.TLB1Entries, cfg.TLB1Entries) // fully associative
+		cc.tlb2.init(cfg.TLB2Entries, cfg.TLB2Assoc)
 	}
 	return h
 }
@@ -217,15 +225,15 @@ func (h *Hierarchy) Stats(c int) Stats { return h.stats[c] }
 // L2 — the occupancy gauges of the metrics layer. O(1): the arrays keep a
 // resident-line count.
 func (h *Hierarchy) Occupancy(c int) (l1, l2 int) {
-	cc := h.cores[c]
+	cc := &h.cores[c]
 	return cc.l1.nValid, cc.l2.nValid
 }
 
 // L3Occupancy reports how many lines are resident across all L3 slices.
 func (h *Hierarchy) L3Occupancy() int {
 	n := 0
-	for _, a := range h.l3s {
-		n += a.nValid
+	for i := range h.l3s {
+		n += h.l3s[i].nValid
 	}
 	return n
 }
@@ -244,16 +252,14 @@ func (h *Hierarchy) homeSock(line mem.Addr) int {
 }
 
 // homeSlice returns the L3 slice lines of this address cache in.
-func (h *Hierarchy) homeSlice(line mem.Addr) *array { return h.l3s[h.homeSock(line)] }
+func (h *Hierarchy) homeSlice(line mem.Addr) *array { return &h.l3s[h.homeSock(line)] }
 
 // NumCores returns the number of cores the hierarchy was built for.
 func (h *Hierarchy) NumCores() int { return len(h.cores) }
 
 // state returns the coherence-directory entry for line, creating a neutral
-// one on first touch. The returned pointer is valid until the next insertion
-// of a never-seen line (which may grow the table); within one Access, only
-// the initial state() call can insert — every other line consulted (victims,
-// remote holders) has been through Access before and is already present.
+// one on first touch. The returned pointer stays valid for the hierarchy's
+// lifetime.
 func (h *Hierarchy) state(line mem.Addr) *lineState {
 	return h.dir.getOrInsert(line)
 }
@@ -264,12 +270,14 @@ func (h *Hierarchy) state(line mem.Addr) *lineState {
 func (h *Hierarchy) Access(c int, addr mem.Addr, write bool) AccessResult {
 	h.tick++
 	line := addr.Line()
-	cc := h.cores[c]
+	cc := &h.cores[c]
+	st := &h.stats[c]
 	if write {
-		h.stats[c].Stores++
+		st.Stores++
 	} else {
-		h.stats[c].Loads++
+		st.Loads++
 	}
+	mask := uint64(1) << uint(c)
 
 	var res AccessResult
 
@@ -288,16 +296,20 @@ func (h *Hierarchy) Access(c int, addr mem.Addr, write bool) AccessResult {
 		e.lastUse = h.tick
 		res.Level = L1
 		res.Cycles += h.cfg.L1Lat
-		h.stats[c].L1Hits++
+		st.L1Hits++
 		if write {
-			res.Cycles += h.upgrade(c, line, h.state(line))
-			e.dirty = true
+			// A dirty line makes the upgrade a no-op: its core is the sole
+			// holder and the owner, unless a lost speculative-read mark
+			// has left a stale copy behind (see staleHolders).
+			if !e.dirty() || h.staleHolders {
+				res.Cycles += h.upgrade(c, line, h.state(line))
+			}
+			e.tag |= fDirty
 		}
 		return res
 	}
 
 	ls := h.state(line)
-	mask := uint64(1) << uint(c)
 
 	// L1 miss: find the line further out, then fill into L1. On a
 	// multi-socket machine any path past the private L2 consults line's
@@ -306,11 +318,12 @@ func (h *Hierarchy) Access(c int, addr mem.Addr, write bool) AccessResult {
 	// charges live on L1-miss paths only, which the epoch engine's replay
 	// windows never cover, so both engines stay byte-identical.
 	mySock := h.sockOf(c)
+	e2 := cc.l2.lookup(line)
 	switch {
-	case cc.l2.lookup(line) != nil:
+	case e2 != nil:
 		res.Level = L2
 		res.Cycles += h.cfg.L2Lat
-		h.stats[c].L2Hits++
+		st.L2Hits++
 	case ls.owner >= 0 && int(ls.owner) != c:
 		// Dirty in another core's private cache: cache-to-cache transfer,
 		// routed through the home directory.
@@ -319,33 +332,33 @@ func (h *Hierarchy) Access(c int, addr mem.Addr, write bool) AccessResult {
 		if h.sockets > 1 {
 			if h.homeSock(line) != mySock {
 				res.Cycles += h.cfg.XSockLat
-				h.stats[c].XSockHops++
+				st.XSockHops++
 			}
 			if h.sockOf(int(ls.owner)) != mySock {
 				res.Cycles += h.cfg.XSockLat
-				h.stats[c].XSockHops++
+				st.XSockHops++
 			}
 		}
-		h.stats[c].C2C++
+		st.C2C++
 		h.downgrade(int(ls.owner), line, write)
 	case h.homeSlice(line).lookup(line) != nil:
 		res.Level = L3
 		res.Cycles += h.cfg.L3Lat
-		h.stats[c].L3Hits++
+		st.L3Hits++
 		if hs := h.homeSock(line); hs != mySock {
 			res.Cycles += h.cfg.XSockLat
-			h.stats[c].XSockHops++
-			h.stats[c].L3RemoteHits++
+			st.XSockHops++
+			st.L3RemoteHits++
 		}
 	default:
 		res.Level = RAM
 		res.Cycles += h.cfg.MemLat
 		if h.homeSock(line) != mySock {
 			res.Cycles += h.cfg.XSockLat
-			h.stats[c].XSockHops++
+			st.XSockHops++
 		}
-		h.stats[c].MemFills++
-		h.fill(h.homeSlice(line), line)
+		st.MemFills++
+		h.homeSlice(line).insert(line, h.tick) // the lookup above missed
 	}
 
 	if write {
@@ -353,8 +366,7 @@ func (h *Hierarchy) Access(c int, addr mem.Addr, write bool) AccessResult {
 	}
 
 	// Install in the private hierarchy.
-	h.fillPrivate(c, line, write)
-	ls = h.state(line) // downgrade/invalidate may have replaced it
+	h.fillPrivate(c, line, write, e2)
 	ls.holders |= mask
 	if write {
 		ls.owner = int8(c)
@@ -417,10 +429,10 @@ func (h *Hierarchy) downgrade(o int, line mem.Addr, forWrite bool) {
 		h.invalidate(o, line)
 	} else {
 		if e := h.cores[o].l1.lookup(line); e != nil {
-			e.dirty = false
+			e.tag &^= fDirty
 		}
 		if e := h.cores[o].l2.lookup(line); e != nil {
-			e.dirty = false
+			e.tag &^= fDirty
 		}
 	}
 }
@@ -430,12 +442,14 @@ func (h *Hierarchy) downgrade(o int, line mem.Addr, forWrite bool) {
 // eviction hook exactly like a displacement: losing the line means losing
 // ASF's ability to monitor it.
 func (h *Hierarchy) invalidate(o int, line mem.Addr) {
+	cc := &h.cores[o]
 	spec := false
-	if e := h.cores[o].l1.lookup(line); e != nil {
-		spec = spec || e.specRead
-		h.cores[o].l1.remove(line)
+	if e := cc.l1.lookup(line); e != nil {
+		spec = e.specRead()
+		*e = entry{}
+		cc.l1.nValid--
 	}
-	h.cores[o].l2.remove(line)
+	cc.l2.remove(line)
 	ls := h.state(line)
 	ls.holders &^= 1 << uint(o)
 	if int(ls.owner) == o {
@@ -448,41 +462,51 @@ func (h *Hierarchy) invalidate(o int, line mem.Addr) {
 }
 
 // fillPrivate installs line into core c's L1 (and L2), handling victims.
-func (h *Hierarchy) fillPrivate(c int, line mem.Addr, dirty bool) {
-	cc := h.cores[c]
-	if v, ok := cc.l1.insert(line, h.tick); ok {
+// e2 is line's L2 entry as Access found it, or nil.
+//
+// Pointers kept across victim handling are rechecked against their tag
+// before use: an L2 victim and the eviction hook it fires can displace or
+// drop lines (the ASF hook rolls an aborted region back with Drop). A
+// failed recheck means the line is gone — nothing but this fill inserts
+// into a private array during an access.
+func (h *Hierarchy) fillPrivate(c int, line mem.Addr, dirty bool, e2 *entry) {
+	cc := &h.cores[c]
+	e1, v, ok := cc.l1.insert(line, h.tick)
+	if ok {
 		// L1 victim drops to L2.
-		if v.dirty {
-			if e2 := cc.l2.lookup(v.line); e2 != nil {
-				e2.dirty = true
+		vl := v.line()
+		if ve := cc.l2.lookup(vl); ve != nil {
+			if v.dirty() {
+				ve.tag |= fDirty
 			}
-		}
-		if cc.l2.lookup(v.line) == nil {
-			if v2, ok2 := cc.l2.insert(v.line, h.tick); ok2 {
+		} else {
+			ve, v2, ok2 := cc.l2.insert(vl, h.tick)
+			if ok2 {
 				h.dropFromPrivate(c, v2)
 			}
 			// Move entry metadata: the victim left L1 but stays private.
-			if e2 := cc.l2.lookup(v.line); e2 != nil {
-				e2.dirty = v.dirty
-				e2.specRead = v.specRead
-				v.specRead = false
+			if ve.holds(vl) {
+				ve.tag = ve.tag&^fState | v.tag&fState
+				v.tag &^= fSpec
 			}
 		}
-		if v.specRead {
+		if v.specRead() {
 			// The mark could not be preserved (line already in L2):
 			// treat as lost, like PTLsim-ASF's displacement behaviour.
+			// The L2 copy stays outside the holder mask from here on.
+			h.staleHolders = true
 			h.stats[c].Evictions++
 			if h.onEvict != nil {
-				h.onEvict(c, v.line, true)
+				h.onEvict(c, vl, true)
 			}
-			h.state(v.line).holders &^= 1 << uint(c)
+			h.state(vl).holders &^= 1 << uint(c)
 		}
 	}
-	if e := cc.l1.lookup(line); e != nil && dirty {
-		e.dirty = true
+	if dirty && e1.holds(line) {
+		e1.tag |= fDirty
 	}
-	if cc.l2.lookup(line) == nil {
-		if v2, ok2 := cc.l2.insert(line, h.tick); ok2 {
+	if e2 == nil || !e2.holds(line) {
+		if _, v2, ok2 := cc.l2.insert(line, h.tick); ok2 {
 			h.dropFromPrivate(c, v2)
 		}
 	}
@@ -491,19 +515,20 @@ func (h *Hierarchy) fillPrivate(c int, line mem.Addr, dirty bool) {
 // dropFromPrivate handles a line leaving the private hierarchy entirely
 // (L2 victim): write back to its home L3 slice and report the eviction.
 func (h *Hierarchy) dropFromPrivate(c int, v entry) {
-	if h.cores[c].l1.lookup(v.line) != nil {
+	vl := v.line()
+	if h.cores[c].l1.lookup(vl) != nil {
 		// Still in L1 (non-inclusive); the private copy survives.
 		return
 	}
-	h.fill(h.homeSlice(v.line), v.line)
-	ls := h.state(v.line)
+	h.fill(h.homeSlice(vl), vl)
+	ls := h.state(vl)
 	ls.holders &^= 1 << uint(c)
 	if int(ls.owner) == c {
 		ls.owner = -1
 	}
 	h.stats[c].Evictions++
 	if h.onEvict != nil {
-		h.onEvict(c, v.line, v.specRead)
+		h.onEvict(c, vl, v.specRead())
 	}
 }
 
@@ -519,7 +544,11 @@ func (h *Hierarchy) fill(a *array, line mem.Addr) {
 // evicted it immediately — treated by ASF as a capacity condition).
 func (h *Hierarchy) SetSpecRead(c int, line mem.Addr, on bool) bool {
 	if e := h.cores[c].l1.lookup(line.Line()); e != nil {
-		e.specRead = on
+		if on {
+			e.tag |= fSpec
+		} else {
+			e.tag &^= fSpec
+		}
 		return true
 	}
 	return false
@@ -528,7 +557,10 @@ func (h *Hierarchy) SetSpecRead(c int, line mem.Addr, on bool) bool {
 // FlashClearSpecRead clears every speculative-read bit in core c's L1, the
 // single-cycle flash-clear a commit or abort performs.
 func (h *Hierarchy) FlashClearSpecRead(c int) {
-	h.cores[c].l1.forEach(func(e *entry) { e.specRead = false })
+	ents := h.cores[c].l1.ents
+	for i := range ents {
+		ents[i].tag &^= fSpec
+	}
 }
 
 // L1Resident reports whether line is in core c's L1.
@@ -551,7 +583,7 @@ func (h *Hierarchy) Drop(c int, line mem.Addr) {
 }
 
 func (h *Hierarchy) tlbLookup(c int, page mem.Addr) uint64 {
-	cc := h.cores[c]
+	cc := &h.cores[c]
 	if cc.tlb1.lookup(page, h.tick) {
 		return 0
 	}
@@ -571,10 +603,10 @@ func (h *Hierarchy) tlbLookup(c int, page mem.Addr) uint64 {
 // native-to-simulated switchover: the measured phase starts with cold
 // private caches regardless of which core ran initialisation.
 func (h *Hierarchy) FlushPrivate(c int) {
-	cc := h.cores[c]
+	cc := &h.cores[c]
 	var lines []mem.Addr
-	cc.l1.forEach(func(e *entry) { lines = append(lines, e.line) })
-	cc.l2.forEach(func(e *entry) { lines = append(lines, e.line) })
+	cc.l1.forEach(func(e *entry) { lines = append(lines, e.line()) })
+	cc.l2.forEach(func(e *entry) { lines = append(lines, e.line()) })
 	for _, line := range lines {
 		h.fill(h.homeSlice(line), line)
 		cc.l1.remove(line)
@@ -620,7 +652,7 @@ func (h *Hierarchy) L1Ref(c int, line mem.Addr) LineRef {
 // Only the MRU entry is consulted: after a full access of page it is the
 // MRU entry by construction, and a miss here merely skips seeding.
 func (h *Hierarchy) TLB1Ref(c int, page mem.Addr) PageRef {
-	if e := h.cores[c].tlb1.last; e != nil && e.valid && e.page == page {
+	if e := h.cores[c].tlb1.last; e != nil && e.tag == tlbKey(page) {
 		return PageRef(e)
 	}
 	return nil
@@ -628,11 +660,11 @@ func (h *Hierarchy) TLB1Ref(c int, page mem.Addr) PageRef {
 
 // ReplayHit revalidates a seeded access window and, if still valid, replays
 // exactly the state changes Access performs for an L1 hit: the LRU tick
-// advances, the L1 entry (and, for TLB-translated accesses, the TLB entry
-// and its MRU pointer) is stamped with the new tick, and the per-core
-// load/store and L1-hit counters advance. Returns the latency to charge and
-// true; on any validation failure it returns (0, false) having changed
-// nothing.
+// advances, the L1 entry (and, for TLB-translated accesses, the TLB entry,
+// which moves to the front of the L1 TLB's recency list) is stamped with
+// the new tick, and the per-core load/store and L1-hit counters advance.
+// Returns the latency to charge and true; on any validation failure it
+// returns (0, false) having changed nothing.
 //
 // Validity is judged entirely from live state: the referenced L1 entry must
 // still hold line, and for writes must be dirty — dirty implies this core
@@ -640,13 +672,13 @@ func (h *Hierarchy) TLB1Ref(c int, page mem.Addr) PageRef {
 // the full path are idempotent no-ops and no invalidation probe is due.
 func (h *Hierarchy) ReplayHit(c int, lr LineRef, line mem.Addr, write bool, pr PageRef, page mem.Addr) (uint64, bool) {
 	e := (*entry)(lr)
-	if e == nil || !e.valid || e.line != line || (write && !e.dirty) {
+	if e == nil || !e.holds(line) || (write && !e.dirty()) {
 		return 0, false
 	}
 	var te *tlbEntry
 	if !write || h.cfg.StoresUseTLB {
 		te = (*tlbEntry)(pr)
-		if te == nil || !te.valid || te.page != page {
+		if te == nil || te.tag != tlbKey(page) {
 			return 0, false
 		}
 	}
@@ -658,8 +690,7 @@ func (h *Hierarchy) ReplayHit(c int, lr LineRef, line mem.Addr, write bool, pr P
 		st.Loads++
 	}
 	if te != nil {
-		te.lastUse = h.tick
-		h.cores[c].tlb1.last = te
+		h.cores[c].tlb1.touch(te, h.tick)
 	}
 	e.lastUse = h.tick
 	st.L1Hits++
