@@ -147,13 +147,11 @@ type tlbArray struct {
 }
 
 // tlbEntry is one translation. tag is page|1 (pages are 4 KB aligned), or
-// 0 when empty. prev and next link the recency list; slot is the entry's
-// own index, which lets a replay reference stamp it through the list.
+// 0 when empty. prev and next link the recency list.
 type tlbEntry struct {
 	tag        uint64
 	lastUse    uint64
 	prev, next int16
-	slot       int16
 }
 
 // tlbListMax bounds the fully associative TLBs kept as a list: the index
@@ -181,9 +179,6 @@ func (t *tlbArray) init(entries, assoc int) {
 		assoc:   assoc,
 		setMask: mem.Addr(p - 1),
 		list:    p == 1 && assoc <= tlbListMax,
-	}
-	for i := range t.ents {
-		t.ents[i].slot = int16(i)
 	}
 	t.flush()
 }
@@ -254,17 +249,6 @@ func (t *tlbArray) insert(page mem.Addr, now uint64) (victim mem.Addr, evicted b
 	slot.tag, slot.lastUse = key, now
 	t.last = slot
 	return victim, evicted
-}
-
-// touch stamps e, an entry a replay reference still validates against,
-// exactly as a lookup hit would.
-func (t *tlbArray) touch(e *tlbEntry, now uint64) {
-	if t.list {
-		t.toFront(e.slot)
-		return
-	}
-	e.lastUse = now
-	t.last = e
 }
 
 func (t *tlbArray) flush() {

@@ -88,27 +88,13 @@ func fuzzPage(b byte) mem.Addr {
 	return mem.Addr((p&7)<<7|p>>3) << mem.PageShift
 }
 
-// tlbRefSlots is how many replay references the fuzz target keeps.
-const tlbRefSlots = 4
-
 // checkTLBOps runs ops, two bytes per operation, against a tlbArray and a
 // scanTLB of the same geometry, failing on the first difference in a hit,
-// a victim, the MRU entry (page and slot) or a replay reference's
-// validity.
+// a victim or the MRU entry (page and slot).
 func checkTLBOps(t *testing.T, entries, assoc int, ops []byte) {
 	var got tlbArray
 	got.init(entries, assoc)
 	want := newScanTLB(entries, assoc)
-	// Replay references, as the epoch engine holds them: a pointer to the
-	// MRU entry (and its slot in the reference) when the ref was taken.
-	var refs [tlbRefSlots]struct {
-		e    *tlbEntry
-		slot int
-		page mem.Addr
-	}
-	for i := range refs {
-		refs[i].slot = -1
-	}
 	now := uint64(0)
 	for i := 0; i+1 < len(ops); i += 2 {
 		now++
@@ -129,7 +115,7 @@ func checkTLBOps(t *testing.T, entries, assoc int, ops []byte) {
 			if v != wv || ev != wev {
 				t.Fatalf("op %d: insert(%v) evicted (%v, %v), reference (%v, %v)", i/2, page, v, ev, wv, wev)
 			}
-		case kind < 12: // lookup only
+		case kind < 15: // lookup only
 			hit := got.lookup(page, now)
 			slot := want.find(page)
 			if hit != (slot >= 0) {
@@ -138,32 +124,25 @@ func checkTLBOps(t *testing.T, entries, assoc int, ops []byte) {
 			if hit {
 				want.stamp(slot, now)
 			}
-		case kind < 14: // take a replay reference to the MRU entry
-			r := &refs[int(ops[i+1])%tlbRefSlots]
-			r.e, r.slot, r.page = got.last, want.last, page
-			if r.e != nil {
-				r.page = mem.Addr(r.e.tag &^ 1)
-			}
-		case kind < 15: // replay through a reference, if it still validates
-			r := &refs[int(ops[i+1])%tlbRefSlots]
-			ok := r.e != nil && r.e.tag == tlbKey(r.page)
-			wok := r.slot >= 0 && want.ents[r.slot].valid && want.ents[r.slot].page == r.page
-			if ok != wok {
-				t.Fatalf("op %d: replay reference to %v valid=%v, reference %v", i/2, r.page, ok, wok)
-			}
-			if ok {
-				got.touch(r.e, now)
-				want.stamp(r.slot, now)
-			}
 		default:
 			got.flush()
 			want.flush()
 		}
 		if (got.last == nil) != (want.last < 0) || (got.last != nil &&
-			(got.last.slot != int16(want.last) || got.last.tag != tlbKey(want.ents[want.last].page))) {
+			(tlbSlot(&got, got.last) != want.last || got.last.tag != tlbKey(want.ents[want.last].page))) {
 			t.Fatalf("op %d: MRU entry differs from the reference", i/2)
 		}
 	}
+}
+
+// tlbSlot returns the index of e in t.ents, or -1.
+func tlbSlot(t *tlbArray, e *tlbEntry) int {
+	for i := range t.ents {
+		if &t.ents[i] == e {
+			return i
+		}
+	}
+	return -1
 }
 
 // FuzzTLBMatchesScanLRU checks tlbArray against the scan-based reference

@@ -1,6 +1,7 @@
 package intset
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -109,13 +110,30 @@ func TestBreakdownAccountsAllCycles(t *testing.T) {
 	}
 }
 
-// TestRunRejectsBadConfig: configuration mistakes are reported as errors,
-// not panics, so sweep harnesses can fail one cell and keep going.
+// TestRunRejectsBadConfig: configuration mistakes — an unknown structure,
+// an empty key range, an update percentage outside 0..100, a negative
+// thread count, or a machine larger than sim.MaxCores given directly or
+// through a topology — are reported as errors, not panics or silent runs,
+// so sweep harnesses can fail one cell and keep going.
 func TestRunRejectsBadConfig(t *testing.T) {
-	if _, err := Run(Config{Structure: "btree", Runtime: "STM", Range: 64}); err == nil {
-		t.Fatal("unknown structure accepted")
-	}
-	if _, err := Run(Config{Structure: "rbtree", Runtime: "STM"}); err == nil {
-		t.Fatal("zero key range accepted")
+	base := Config{Structure: "rbtree", Runtime: "LLB-256", Range: 64, OpsPerThread: 10, Threads: 2, UpdatePct: 20}
+	for _, tc := range []struct {
+		name string
+		mod  func(*Config)
+		want string
+	}{
+		{"unknown structure", func(c *Config) { c.Structure = "btree" }, "unknown structure"},
+		{"zero key range", func(c *Config) { c.Range = 0 }, "key range"},
+		{"update 150", func(c *Config) { c.UpdatePct = 150 }, "update percentage"},
+		{"update -5", func(c *Config) { c.UpdatePct = -5 }, "update percentage"},
+		{"negative threads", func(c *Config) { c.Threads = -3 }, "threads outside"},
+		{"65 threads", func(c *Config) { c.Threads = 65 }, "threads outside"},
+		{"topology 2x40", func(c *Config) { c.Threads, c.Topology = 0, "2x40" }, "threads outside"},
+	} {
+		cfg := base
+		tc.mod(&cfg)
+		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one mentioning %q", tc.name, err, tc.want)
+		}
 	}
 }

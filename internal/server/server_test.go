@@ -2,9 +2,8 @@ package server
 
 import (
 	"reflect"
+	"strings"
 	"testing"
-
-	"asfstack/internal/sim"
 )
 
 // TestQueueAllocs pins the steady-state session path: once a queue is
@@ -120,57 +119,6 @@ func TestRunSmoke(t *testing.T) {
 	}
 }
 
-// simFingerprint is the deterministic part of a Result.
-type simFingerprint struct {
-	Cycles              uint64
-	Requests            uint64
-	P50, P95, P99, P999 float64
-	Max                 uint64
-	XSock               uint64
-	Commits             uint64
-	Aborts              uint64
-}
-
-func fingerprint(r Result) simFingerprint {
-	var aborts uint64
-	for _, a := range r.Stats.Aborts {
-		aborts += a
-	}
-	return simFingerprint{
-		Cycles: r.Cycles, Requests: r.Requests,
-		P50: r.P50, P95: r.P95, P99: r.P99, P999: r.P999,
-		Max: r.MaxSojourn, XSock: r.XSockHops,
-		Commits: r.Stats.Commits, Aborts: aborts,
-	}
-}
-
-// TestRunDeterministicAcrossEngines: the serial and epoch engines must
-// produce byte-identical simulated results for the open-loop workload,
-// including on a multi-socket topology.
-func TestRunDeterministicAcrossEngines(t *testing.T) {
-	for _, topology := range []string{"", "2x2"} {
-		cfg := smallConfig("LLB-256")
-		if topology != "" {
-			cfg.Threads = 0
-			cfg.Topology = topology
-		}
-		cfg.Engine = sim.EngineSerial
-		serial, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("topology %q serial: %v", topology, err)
-		}
-		cfg.Engine = sim.EngineEpoch
-		cfg.EpochLen = 300
-		epoch, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("topology %q epoch: %v", topology, err)
-		}
-		if fs, fe := fingerprint(serial), fingerprint(epoch); fs != fe {
-			t.Fatalf("topology %q: engines diverge:\nserial %+v\nepoch  %+v", topology, fs, fe)
-		}
-	}
-}
-
 // TestRunTopologyCharges: a multi-socket run pays cross-socket hops; the
 // same workload single-socket does not, and is cheaper.
 func TestRunTopologyCharges(t *testing.T) {
@@ -207,5 +155,26 @@ func TestRunOverloadTail(t *testing.T) {
 	}
 	if hr.P99 <= lr.P99 {
 		t.Fatalf("overload p99 (%.0f) not above light-load p99 (%.0f)", hr.P99, lr.P99)
+	}
+}
+
+// TestRunRejectsBadThreadCounts: a negative thread count or a machine
+// larger than sim.MaxCores, given directly or through a topology, is an
+// error, not a panic or a silent one-core run.
+func TestRunRejectsBadThreadCounts(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		threads  int
+		topology string
+	}{
+		{"negative threads", -3, ""},
+		{"65 threads", 65, ""},
+		{"topology 9x8", 0, "9x8"},
+	} {
+		cfg := smallConfig("LLB-256")
+		cfg.Threads, cfg.Topology = tc.threads, tc.topology
+		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "threads outside") {
+			t.Errorf("%s: err = %v, want a thread-count error", tc.name, err)
+		}
 	}
 }

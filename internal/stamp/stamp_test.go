@@ -1,6 +1,7 @@
 package stamp
 
 import (
+	"strings"
 	"testing"
 
 	"asfstack/internal/sim"
@@ -165,5 +166,25 @@ func TestASFBeatsSTMOnStamp(t *testing.T) {
 func TestUnknownAppRejected(t *testing.T) {
 	if _, err := Run(Config{App: "bayes", Runtime: "LLB-256", Threads: 1}); err == nil {
 		t.Fatal("excluded app accepted")
+	}
+}
+
+// TestRunRejectsBadThreadCounts: thread counts outside 1..sim.MaxCores,
+// given directly or through a topology, are errors, not panics or hangs.
+func TestRunRejectsBadThreadCounts(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		threads  int
+		topology string
+	}{
+		{"negative threads", -2, ""},
+		{"zero threads", 0, ""},
+		{"65 threads", 65, ""},
+		{"topology 2x40", 0, "2x40"},
+	} {
+		cfg := Config{App: "genome", Runtime: "LLB-256", Threads: tc.threads, Topology: tc.topology, Scale: 0.05}
+		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "threads outside") {
+			t.Errorf("%s: err = %v, want a thread-count error", tc.name, err)
+		}
 	}
 }
