@@ -33,9 +33,8 @@ type Config struct {
 	// transaction restarts in serial-irrevocable mode. Capacity
 	// overflows switch immediately.
 	MaxHWAttempts int
-	// BackoffBase and BackoffMax bound the exponential back-off (cycles).
-	BackoffBase uint64
-	BackoffMax  uint64
+	// BackoffMax caps the exponential back-off (cycles; see tm.Backoff).
+	BackoffMax uint64
 
 	// ABI software costs, in instructions. BeginInstr covers the setjmp
 	// register checkpoint, descriptor setup and mode dispatch; the paper
@@ -50,7 +49,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		MaxHWAttempts: 16,
-		BackoffBase:   64,
 		BackoffMax:    1 << 14,
 		BeginInstr:    60,
 		CommitInstr:   16,
@@ -60,45 +58,19 @@ func DefaultConfig() Config {
 
 // Runtime implements tm.Runtime on ASF.
 type Runtime struct {
+	tm.Emitter // lifecycle reporting; provides SetCommitHook/SetProfiler
+
 	sys  *asf.System
 	heap *tm.Heap
 	cfg  Config
 
-	serialLock mem.Addr // global token, alone on its cache line
+	serial tm.SerialToken // global token, alone on its cache line
 
 	stats []tm.Stats
 	txs   []hwTx // per-core transaction descriptors (reused)
 	depth []int  // per-core flat-nesting depth of Atomic calls
 
-	hook tm.CommitHook
-	prof tm.TxProfiler
-
 	met rtMetrics
-}
-
-// SetCommitHook implements tm.HookableRuntime.
-func (r *Runtime) SetCommitHook(h tm.CommitHook) { r.hook = h }
-
-// SetProfiler implements tm.ProfilableRuntime.
-func (r *Runtime) SetProfiler(p tm.TxProfiler) { r.prof = p }
-
-// record feeds the flight recorder. The nil check is the entire disabled-
-// path cost; recording itself charges no simulated cycles (the paper's
-// no-interference tracing methodology).
-func (r *Runtime) record(c *sim.CPU, ev tm.TxEvent) {
-	if r.prof != nil {
-		ev.Time = c.Now()
-		r.prof.Record(c.ID(), ev)
-	}
-}
-
-// notifyCommit reports a commit to the hook under the global turn, so hook
-// invocations across cores are totally ordered (and the hook needs no
-// locking of its own).
-func (r *Runtime) notifyCommit(c *sim.CPU, serial bool) {
-	if r.hook != nil {
-		c.SpecOp(0, func() { r.hook(c.ID(), serial) })
-	}
 }
 
 // rtMetrics holds the runtime's metric handles (zero-value inert).
@@ -108,10 +80,6 @@ type rtMetrics struct {
 	hwAttempts metrics.Histogram
 	// backoff records each contention back-off delay, in cycles.
 	backoff metrics.Histogram
-	// serialEntries counts entries into serial-irrevocable mode;
-	// serialCycles accumulates simulated cycles the global token was held.
-	serialEntries metrics.Counter
-	serialCycles  metrics.Counter
 }
 
 // SetMetrics registers the runtime's instruments with reg. Must be called
@@ -119,8 +87,10 @@ type rtMetrics struct {
 func (r *Runtime) SetMetrics(reg *metrics.Registry) {
 	r.met.hwAttempts = reg.Histogram("asftm/hw_attempts", metrics.PowersOfTwo(6))
 	r.met.backoff = reg.Histogram("asftm/backoff_cycles", metrics.PowersOfTwo(16))
-	r.met.serialEntries = reg.Counter("asftm/serial_entries")
-	r.met.serialCycles = reg.Counter("asftm/serial_cycles")
+	// Entries into serial-irrevocable mode, and simulated cycles the
+	// global token was held.
+	r.serial.Entries = reg.Counter("asftm/serial_entries")
+	r.serial.Cycles = reg.Counter("asftm/serial_cycles")
 }
 
 // New builds the runtime for an installed ASF system. layout provides the
@@ -130,13 +100,13 @@ func New(sys *asf.System, heap *tm.Heap, m *sim.Machine, layout *mem.Layout) *Ru
 	m.Mem.Prefault(base, mem.LineSize)
 	cores := m.Config().Cores
 	r := &Runtime{
-		sys:        sys,
-		heap:       heap,
-		cfg:        DefaultConfig(),
-		serialLock: base,
-		stats:      make([]tm.Stats, cores),
-		txs:        make([]hwTx, cores),
-		depth:      make([]int, cores),
+		sys:    sys,
+		heap:   heap,
+		cfg:    DefaultConfig(),
+		serial: tm.SerialToken{Addr: base},
+		stats:  make([]tm.Stats, cores),
+		txs:    make([]hwTx, cores),
+		depth:  make([]int, cores),
 	}
 	for i := range r.txs {
 		r.txs[i] = hwTx{r: r}
@@ -181,15 +151,10 @@ func (r *Runtime) Atomic(c *sim.CPU, body func(tx tm.Tx)) {
 	t := &r.txs[id]
 	t.c, t.u, t.serial = c, u, false
 
+	r.Begin(c, tm.PathHW)
 	attempts := 0
 	for {
-		c.SetCategory(sim.CatTxStartCommit)
-		snap := c.Counters()
-		c.Trace(sim.TraceTxBegin, 0)
-		attemptStart := c.Now()
-		if attempts == 0 {
-			r.record(c, tm.TxEvent{Kind: tm.TxEvBegin, Path: tm.PathHW, Aborter: sim.NoCore, Addr: sim.NoAddr})
-		}
+		a := r.Attempt(c)
 		c.Exec(r.cfg.BeginInstr)
 
 		reason, code := u.Region(func() {
@@ -197,7 +162,7 @@ func (r *Runtime) Atomic(c *sim.CPU, body func(tx tm.Tx)) {
 			// read of every region: if a serial transaction holds
 			// it we must not proceed, and if one acquires it later
 			// the CAS write aborts us instantly.
-			if u.Load(r.serialLock) != 0 {
+			if u.Load(r.serial.Addr) != 0 {
 				u.Abort(tm.CodeSerialRunning)
 			}
 			c.SetCategory(sim.CatTxApp)
@@ -206,33 +171,20 @@ func (r *Runtime) Atomic(c *sim.CPU, body func(tx tm.Tx)) {
 			c.Exec(r.cfg.CommitInstr)
 		})
 
+		read, write := u.LastSetSizes()
 		if reason == sim.AbortNone {
 			st.Commits++
 			r.met.hwAttempts.Observe(id, uint64(attempts+1))
-			r.notifyCommit(c, false)
-			c.Trace(sim.TraceTxCommit, 0)
-			if r.prof != nil {
-				read, write := u.LastSetSizes()
-				r.record(c, tm.TxEvent{Kind: tm.TxEvCommit, Path: tm.PathHW,
-					Aborter: sim.NoCore, Addr: sim.NoAddr,
-					Reads: uint32(read), Writes: uint32(write), Cycles: c.Now() - attemptStart})
-			}
-			c.SetCategory(sim.CatNonInstr)
+			r.CommitPoint(c, false)
+			a.Commit(tm.PathHW, int(read), int(write))
 			return
 		}
 
-		// The attempt's cycles are wasted work: move them to the
+		// The attempt's cycles are wasted work: they move to the
 		// abort/restart bucket, like the paper's trace annotation.
-		c.MoveToAbort(snap)
-		c.Trace(sim.TraceTxAbort, uint64(reason))
-		if r.prof != nil {
-			by, addr := u.LastAbortEdge()
-			read, write := u.LastSetSizes()
-			r.record(c, tm.TxEvent{Kind: tm.TxEvAbort, Path: tm.PathHW,
-				Cause: reason, Code: code, Aborter: by, Addr: addr,
-				Reads: uint32(read), Writes: uint32(write), Cycles: c.Now() - attemptStart})
-		}
-		c.SetCategory(sim.CatAbort)
+		by, addr := u.LastAbortEdge()
+		a.Abort(tm.TxEvent{Path: tm.PathHW, Cause: reason, Code: code, Aborter: by, Addr: addr,
+			Reads: uint32(read), Writes: uint32(write)})
 		attempts++
 
 		serial := false
@@ -248,7 +200,7 @@ func (r *Runtime) Atomic(c *sim.CPU, body func(tx tm.Tx)) {
 				r.heap.Refill(c, r.heap.ChunkSize)
 			case tm.CodeSerialRunning:
 				st.Aborts[sim.AbortContention]++
-				r.waitSerialFree(c)
+				r.serial.Wait(c)
 			case tm.CodeSerialRequest:
 				st.Aborts[sim.AbortExplicit]++
 				serial = true
@@ -257,7 +209,7 @@ func (r *Runtime) Atomic(c *sim.CPU, body func(tx tm.Tx)) {
 			}
 		case sim.AbortContention:
 			st.Aborts[sim.AbortContention]++
-			r.backoff(c, attempts)
+			tm.Backoff(c, attempts, r.cfg.BackoffMax, r.met.backoff)
 		default:
 			// Page fault (now handled), interrupt, syscall:
 			// retry immediately.
@@ -266,31 +218,10 @@ func (r *Runtime) Atomic(c *sim.CPU, body func(tx tm.Tx)) {
 
 		if serial || attempts >= r.cfg.MaxHWAttempts {
 			r.met.hwAttempts.Observe(id, uint64(attempts))
-			c.Trace(sim.TraceTxFallback, uint64(tm.PathSerial))
-			r.record(c, tm.TxEvent{Kind: tm.TxEvFallback, Path: tm.PathSerial,
-				Aborter: sim.NoCore, Addr: sim.NoAddr})
+			r.Fallback(c, tm.PathSerial)
 			r.runSerial(c, t, body)
 			return
 		}
-	}
-}
-
-// backoff spins for a randomised exponential delay.
-func (r *Runtime) backoff(c *sim.CPU, attempt int) {
-	limit := r.cfg.BackoffBase << uint(min(attempt, 8))
-	if limit > r.cfg.BackoffMax {
-		limit = r.cfg.BackoffMax
-	}
-	delay := uint64(c.Rand().Int63n(int64(limit))) + 1
-	r.met.backoff.Observe(c.ID(), delay)
-	c.Cycles(delay)
-}
-
-// waitSerialFree polls the token (plain reads; they do not conflict) until
-// the serial transaction releases it.
-func (r *Runtime) waitSerialFree(c *sim.CPU) {
-	for c.Load(r.serialLock) != 0 {
-		c.Cycles(200)
 	}
 }
 
@@ -298,32 +229,19 @@ func (r *Runtime) waitSerialFree(c *sim.CPU) {
 // taken with a plain CAS (aborting every in-flight hardware region that
 // monitors it), the body runs uninstrumented, and the token is released.
 func (r *Runtime) runSerial(c *sim.CPU, t *hwTx, body func(tx tm.Tx)) {
-	c.SetCategory(sim.CatTxStartCommit)
-	c.Trace(sim.TraceTxBegin, 0)
-	attemptStart := c.Now()
-	for {
-		if _, ok := c.CAS(r.serialLock, 0, 1); ok {
-			break
-		}
-		c.Cycles(uint64(c.Rand().Int63n(400)) + 100)
-	}
+	a := r.Attempt(c)
+	held := r.serial.Acquire(c)
 	t.serial = true
-	r.met.serialEntries.Inc(c.ID())
-	held := c.Now() // token acquired; measure simulated cycles held
 	c.SetCategory(sim.CatTxApp)
 	body(t)
 	c.SetCategory(sim.CatTxStartCommit)
-	r.notifyCommit(c, true) // before the release: the token is the commit point
-	c.Store(r.serialLock, 0)
-	r.met.serialCycles.Add(c.ID(), c.Now()-held)
+	r.CommitPoint(c, true) // before the release: the token is the commit point
+	r.serial.Release(c, held)
 	t.serial = false
 	st := &r.stats[c.ID()]
 	st.Commits++
 	st.Serial++
-	c.Trace(sim.TraceTxCommit, 0)
-	r.record(c, tm.TxEvent{Kind: tm.TxEvCommit, Path: tm.PathSerial,
-		Aborter: sim.NoCore, Addr: sim.NoAddr, Cycles: c.Now() - attemptStart})
-	c.SetCategory(sim.CatNonInstr)
+	a.Commit(tm.PathSerial, 0, 0)
 }
 
 // hwTx implements tm.Tx for both the hardware and the serial code path —

@@ -98,6 +98,8 @@ func DefaultConfig() Config {
 
 // Runtime implements tm.Runtime with the Cohorts algorithm.
 type Runtime struct {
+	tm.Emitter // lifecycle reporting; provides SetCommitHook/SetProfiler
+
 	m    *sim.Machine
 	heap *tm.Heap
 	cfg  Config
@@ -115,9 +117,6 @@ type Runtime struct {
 	stats []tm.Stats
 	txs   []coTx
 	depth []int // per-core flat-nesting depth of Atomic calls
-
-	hook tm.CommitHook
-	prof tm.TxProfiler
 
 	// turboInCohort counts turbo entries in the current cohort and
 	// turboViolations records cohorts that saw more than one — the
@@ -163,28 +162,6 @@ func (r *Runtime) SetMetrics(reg *metrics.Registry) {
 	r.met.roCommits = reg.Counter("cohorts/ro_commits")
 	r.met.soloEntries = reg.Counter("cohorts/solo_entries")
 	r.met.validationAborts = reg.Counter("cohorts/validation_aborts")
-}
-
-// SetCommitHook implements tm.HookableRuntime.
-func (r *Runtime) SetCommitHook(h tm.CommitHook) { r.hook = h }
-
-// SetProfiler implements tm.ProfilableRuntime.
-func (r *Runtime) SetProfiler(p tm.TxProfiler) { r.prof = p }
-
-// record feeds the flight recorder (nil check = the disabled-path cost).
-func (r *Runtime) record(c *sim.CPU, ev tm.TxEvent) {
-	if r.prof != nil {
-		ev.Time = c.Now()
-		r.prof.Record(c.ID(), ev)
-	}
-}
-
-// notifyCommit reports a commit to the hook under the global turn (see
-// tm.CommitHook).
-func (r *Runtime) notifyCommit(c *sim.CPU, serial bool) {
-	if r.hook != nil {
-		c.SpecOp(0, func() { r.hook(c.ID(), serial) })
-	}
 }
 
 // New builds the Cohorts runtime over machine m. Its metadata (the cohort
@@ -277,17 +254,11 @@ func (r *Runtime) Atomic(c *sim.CPU, body func(tx tm.Tx)) {
 	t := &r.txs[id]
 	t.c = c
 
+	r.Begin(c, tm.PathSW)
 	attempts := 0
 	for {
 		attempts++
-		c.SetCategory(sim.CatTxStartCommit)
-		snap := c.Counters()
-		c.Trace(sim.TraceTxBegin, 0)
-		attemptStart := c.Now()
-		if attempts == 1 {
-			r.record(c, tm.TxEvent{Kind: tm.TxEvBegin, Path: tm.PathSW,
-				Aborter: sim.NoCore, Addr: sim.NoAddr})
-		}
+		a := r.Attempt(c)
 		t.begin()
 
 		committed := func() (committed bool) {
@@ -316,33 +287,25 @@ func (r *Runtime) Atomic(c *sim.CPU, body func(tx tm.Tx)) {
 			if t.mode == modeTurbo {
 				path = tm.PathTurbo
 			}
-			r.record(c, tm.TxEvent{Kind: tm.TxEvCommit, Path: path,
-				Aborter: sim.NoCore, Addr: sim.NoAddr,
-				Reads: uint32(len(t.reads)), Writes: uint32(len(t.writes)), Cycles: c.Now() - attemptStart})
+			a.Commit(path, len(t.reads), len(t.writes))
 			t.reset()
-			c.Trace(sim.TraceTxCommit, 0)
-			c.SetCategory(sim.CatNonInstr)
 			return
 		}
 
 		// Aborted at commit validation (or unwound by BecomeIrrevocable):
 		// the redo log was never published, so there is nothing to undo.
-		c.MoveToAbort(snap)
-		c.Trace(sim.TraceTxAbort, 0)
-		c.SetCategory(sim.CatAbort)
 		force := t.forceSolo
 		t.forceSolo = false
-		if !force {
+		if force {
+			a.Unwind()
+		} else {
 			st.STMAborts++
-			r.record(c, tm.TxEvent{Kind: tm.TxEvAbort, Path: tm.PathSW,
-				STM: true, Aborter: t.lastBy, Addr: t.lastAddr,
-				Reads: uint32(len(t.reads)), Writes: uint32(len(t.writes)), Cycles: c.Now() - attemptStart})
+			a.Abort(tm.TxEvent{Path: tm.PathSW, STM: true, Aborter: t.lastBy, Addr: t.lastAddr,
+				Reads: uint32(len(t.reads)), Writes: uint32(len(t.writes))})
 		}
 		t.reset()
 		if force || attempts >= r.cfg.MaxAttempts {
-			c.Trace(sim.TraceTxFallback, uint64(tm.PathSerial))
-			r.record(c, tm.TxEvent{Kind: tm.TxEvFallback, Path: tm.PathSerial,
-				Aborter: sim.NoCore, Addr: sim.NoAddr})
+			r.Fallback(c, tm.PathSerial)
 			r.runSolo(c, t, body)
 			return
 		}
@@ -355,9 +318,7 @@ func (r *Runtime) Atomic(c *sim.CPU, body func(tx tm.Tx)) {
 func (r *Runtime) runSolo(c *sim.CPU, t *coTx, body func(tx tm.Tx)) {
 	id := c.ID()
 	st := &r.stats[id]
-	c.SetCategory(sim.CatTxStartCommit)
-	c.Trace(sim.TraceTxBegin, 0)
-	attemptStart := c.Now()
+	a := r.Attempt(c)
 	// Latch the solo word (queue behind any other solo transaction).
 	for {
 		if _, ok := c.CAS(r.solo, 0, mem.Word(id+1)); ok {
@@ -381,15 +342,12 @@ func (r *Runtime) runSolo(c *sim.CPU, t *coTx, body func(tx tm.Tx)) {
 	body(t)
 	c.SetCategory(sim.CatTxStartCommit)
 	c.Exec(r.cfg.CommitInstr)
-	r.notifyCommit(c, true) // before the release: the latch is the commit point
+	r.CommitPoint(c, true) // before the release: the latch is the commit point
 	c.Store(r.solo, 0)
 	t.mode = modeInstr
 	st.Commits++
 	st.Serial++
-	c.Trace(sim.TraceTxCommit, 0)
-	r.record(c, tm.TxEvent{Kind: tm.TxEvCommit, Path: tm.PathSerial,
-		Aborter: sim.NoCore, Addr: sim.NoAddr, Cycles: c.Now() - attemptStart})
-	c.SetCategory(sim.CatNonInstr)
+	a.Commit(tm.PathSerial, 0, 0)
 }
 
 // --- transaction descriptor ------------------------------------------------
@@ -528,7 +486,7 @@ func (t *coTx) commit() {
 		// turbo transaction commits first: seal — which opens the commit
 		// phase — and finish without taking an order turn. (A turbo seal
 		// is never the cohort's first: turbo requires an existing seal.)
-		r.notifyCommit(c, false)
+		r.CommitPoint(c, false)
 		c.Trace(sim.TraceCohortSeal, uint64(c.FetchAdd(r.sealed, 1)))
 		r.met.turboCommits.Inc(id)
 		t.finishMember(false)
@@ -540,7 +498,7 @@ func (t *coTx) commit() {
 	// this member is unsealed), so the value log is trivially valid and
 	// the transaction can leave the cohort without sealing.
 	if len(t.writes) == 0 {
-		r.notifyCommit(c, false)
+		r.CommitPoint(c, false)
 		c.FetchAdd(r.started, ^mem.Word(0))
 		r.met.roCommits.Inc(id)
 		return
@@ -602,7 +560,7 @@ func (t *coTx) commit() {
 		c.Exec(r.cfg.WritebackInstrPerEntry)
 		c.Store(w.addr, w.val)
 	}
-	r.notifyCommit(c, false)
+	r.CommitPoint(c, false)
 	t.finishMember(true)
 }
 

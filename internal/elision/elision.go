@@ -18,12 +18,17 @@ package elision
 import (
 	"asfstack/internal/asf"
 	"asfstack/internal/mem"
+	"asfstack/internal/metrics"
 	"asfstack/internal/sim"
+	"asfstack/internal/tm"
 )
 
 // codeLockBusy is the ABORT code used when the elided region observes the
 // lock already held.
 const codeLockBusy uint64 = 0xE11DE
+
+// backoffMax caps the randomised retry back-off (cycles; see tm.Backoff).
+const backoffMax = tm.BackoffBase << 8
 
 // Mutex is a lock word in simulated memory, alone on its cache line.
 type Mutex struct {
@@ -54,15 +59,13 @@ type Elider struct {
 	sys *asf.System
 	// MaxAttempts bounds elision retries before falling back.
 	MaxAttempts int
-	// BackoffBase scales the randomised retry back-off (cycles).
-	BackoffBase uint64
 
 	stats []Stats
 }
 
 // New builds an elider for sys.
 func New(sys *asf.System, cores int) *Elider {
-	return &Elider{sys: sys, MaxAttempts: 4, BackoffBase: 64, stats: make([]Stats, cores)}
+	return &Elider{sys: sys, MaxAttempts: 4, stats: make([]Stats, cores)}
 }
 
 // Stats returns core i's counters.
@@ -128,8 +131,7 @@ func (e *Elider) Critical(c *sim.CPU, m *Mutex, body func(cs CS)) {
 			// The section does not fit in hardware: no point retrying.
 			attempt = e.MaxAttempts
 		default:
-			limit := int64(e.BackoffBase) << uint(min(attempt, 8))
-			c.Cycles(uint64(c.Rand().Int63n(limit)) + 1)
+			tm.Backoff(c, attempt, backoffMax, metrics.Histogram{})
 		}
 	}
 

@@ -60,9 +60,8 @@ type Config struct {
 	// conflicts are value-based and a failed validation means someone else
 	// committed, so in practice this bound is never reached.
 	MaxSWAttempts int
-	// BackoffBase and BackoffMax bound the exponential back-off (cycles).
-	BackoffBase uint64
-	BackoffMax  uint64
+	// BackoffMax caps the exponential back-off (cycles; see tm.Backoff).
+	BackoffMax uint64
 
 	// ForceSW routes every transaction straight to the concurrent software
 	// fallback, skipping the hardware attempts. Litmus conformance runs use
@@ -90,7 +89,6 @@ func DefaultConfig() Config {
 	return Config{
 		MaxHWAttempts: 16,
 		MaxSWAttempts: 1024,
-		BackoffBase:   64,
 		BackoffMax:    1 << 14,
 
 		BeginInstr:   60,
@@ -108,6 +106,8 @@ func DefaultConfig() Config {
 
 // Runtime implements tm.Runtime as a hardware/software hybrid.
 type Runtime struct {
+	tm.Emitter // lifecycle reporting; provides SetCommitHook/SetProfiler
+
 	sys  *asf.System
 	heap *tm.Heap
 	m    *sim.Machine
@@ -122,32 +122,7 @@ type Runtime struct {
 	txs   []hyTx
 	depth []int // per-core flat-nesting depth of Atomic calls
 
-	hook tm.CommitHook
-	prof tm.TxProfiler
-
 	met rtMetrics
-}
-
-// SetCommitHook implements tm.HookableRuntime.
-func (r *Runtime) SetCommitHook(h tm.CommitHook) { r.hook = h }
-
-// SetProfiler implements tm.ProfilableRuntime.
-func (r *Runtime) SetProfiler(p tm.TxProfiler) { r.prof = p }
-
-// record feeds the flight recorder (nil check = the disabled-path cost).
-func (r *Runtime) record(c *sim.CPU, ev tm.TxEvent) {
-	if r.prof != nil {
-		ev.Time = c.Now()
-		r.prof.Record(c.ID(), ev)
-	}
-}
-
-// notifyCommit reports a commit to the hook under the global turn (see
-// tm.CommitHook).
-func (r *Runtime) notifyCommit(c *sim.CPU, serial bool) {
-	if r.hook != nil {
-		c.SpecOp(0, func() { r.hook(c.ID(), serial) })
-	}
 }
 
 // rtMetrics holds the runtime's metric handles (zero-value inert).
@@ -269,22 +244,15 @@ func (r *Runtime) Atomic(c *sim.CPU, body func(tx tm.Tx)) {
 	t.c, t.u, t.mode, t.wrote = c, u, modeHW, false
 
 	if r.cfg.ForceSW {
-		r.record(c, tm.TxEvent{Kind: tm.TxEvBegin, Path: tm.PathSW,
-			Aborter: sim.NoCore, Addr: sim.NoAddr})
+		r.Begin(c, tm.PathSW)
 		r.runSW(c, t, body)
 		return
 	}
 
+	r.Begin(c, tm.PathHW)
 	attempts := 0
 	for {
-		c.SetCategory(sim.CatTxStartCommit)
-		snap := c.Counters()
-		c.Trace(sim.TraceTxBegin, 0)
-		attemptStart := c.Now()
-		if attempts == 0 {
-			r.record(c, tm.TxEvent{Kind: tm.TxEvBegin, Path: tm.PathHW,
-				Aborter: sim.NoCore, Addr: sim.NoAddr})
-		}
+		a := r.Attempt(c)
 		c.Exec(r.cfg.BeginInstr)
 
 		reason, code := u.Region(func() {
@@ -313,32 +281,19 @@ func (r *Runtime) Atomic(c *sim.CPU, body func(tx tm.Tx)) {
 			c.Exec(r.cfg.CommitInstr)
 		})
 
+		read, write := u.LastSetSizes()
 		if reason == sim.AbortNone {
 			st.Commits++
 			r.met.hwCommits.Inc(id)
 			r.met.hwAttempts.Observe(id, uint64(attempts+1))
-			r.notifyCommit(c, false)
-			c.Trace(sim.TraceTxCommit, 0)
-			if r.prof != nil {
-				read, write := u.LastSetSizes()
-				r.record(c, tm.TxEvent{Kind: tm.TxEvCommit, Path: tm.PathHW,
-					Aborter: sim.NoCore, Addr: sim.NoAddr,
-					Reads: uint32(read), Writes: uint32(write), Cycles: c.Now() - attemptStart})
-			}
-			c.SetCategory(sim.CatNonInstr)
+			r.CommitPoint(c, false)
+			a.Commit(tm.PathHW, int(read), int(write))
 			return
 		}
 
-		c.MoveToAbort(snap)
-		c.Trace(sim.TraceTxAbort, uint64(reason))
-		if r.prof != nil {
-			by, addr := u.LastAbortEdge()
-			read, write := u.LastSetSizes()
-			r.record(c, tm.TxEvent{Kind: tm.TxEvAbort, Path: tm.PathHW,
-				Cause: reason, Code: code, Aborter: by, Addr: addr,
-				Reads: uint32(read), Writes: uint32(write), Cycles: c.Now() - attemptStart})
-		}
-		c.SetCategory(sim.CatAbort)
+		by, addr := u.LastAbortEdge()
+		a.Abort(tm.TxEvent{Path: tm.PathHW, Cause: reason, Code: code, Aborter: by, Addr: addr,
+			Reads: uint32(read), Writes: uint32(write)})
 		attempts++
 		t.wrote = false
 
@@ -362,9 +317,7 @@ func (r *Runtime) Atomic(c *sim.CPU, body func(tx tm.Tx)) {
 			case tm.CodeSerialRequest:
 				st.Aborts[sim.AbortExplicit]++
 				r.met.hwAttempts.Observe(id, uint64(attempts))
-				c.Trace(sim.TraceTxFallback, uint64(tm.PathSerial))
-				r.record(c, tm.TxEvent{Kind: tm.TxEvFallback, Path: tm.PathSerial,
-					Aborter: sim.NoCore, Addr: sim.NoAddr})
+				r.Fallback(c, tm.PathSerial)
 				r.runSerial(c, t, body)
 				return
 			default:
@@ -372,7 +325,7 @@ func (r *Runtime) Atomic(c *sim.CPU, body func(tx tm.Tx)) {
 			}
 		case sim.AbortContention:
 			st.Aborts[sim.AbortContention]++
-			r.backoff(c, attempts)
+			tm.Backoff(c, attempts, r.cfg.BackoffMax, r.met.backoff)
 		default:
 			// Page fault (now handled), interrupt, syscall: retry.
 			st.Aborts[reason]++
@@ -380,24 +333,11 @@ func (r *Runtime) Atomic(c *sim.CPU, body func(tx tm.Tx)) {
 
 		if fallback || attempts >= r.cfg.MaxHWAttempts {
 			r.met.hwAttempts.Observe(id, uint64(attempts))
-			c.Trace(sim.TraceTxFallback, uint64(tm.PathSW))
-			r.record(c, tm.TxEvent{Kind: tm.TxEvFallback, Path: tm.PathSW,
-				Aborter: sim.NoCore, Addr: sim.NoAddr})
+			r.Fallback(c, tm.PathSW)
 			r.runSW(c, t, body)
 			return
 		}
 	}
-}
-
-// backoff spins for a randomised exponential delay.
-func (r *Runtime) backoff(c *sim.CPU, attempt int) {
-	limit := r.cfg.BackoffBase << uint(min(attempt, 8))
-	if limit > r.cfg.BackoffMax {
-		limit = r.cfg.BackoffMax
-	}
-	delay := uint64(c.Rand().Int63n(int64(limit))) + 1
-	r.met.backoff.Observe(c.ID(), delay)
-	c.Cycles(delay)
 }
 
 // waitSeqEven polls the commit-sequence word with plain reads (they do not
@@ -424,10 +364,7 @@ func (r *Runtime) runSW(c *sim.CPU, t *hyTx, body func(tx tm.Tx)) {
 	defer c.FetchAdd(r.swCount, ^mem.Word(0))
 	retries := 0
 	for {
-		c.SetCategory(sim.CatTxStartCommit)
-		snap := c.Counters()
-		c.Trace(sim.TraceTxBegin, 0)
-		attemptStart := c.Now()
+		a := r.Attempt(c)
 		t.swBegin()
 
 		committed := func() (committed bool) {
@@ -452,27 +389,19 @@ func (r *Runtime) runSW(c *sim.CPU, t *hyTx, body func(tx tm.Tx)) {
 		if committed {
 			st.Commits++
 			st.SWCommits++
-			r.notifyCommit(c, false)
+			r.CommitPoint(c, false)
 			r.met.swCommits.Inc(id)
 			r.met.swAttempts.Observe(id, uint64(retries+1))
 			r.met.swCycles.Add(id, c.Now()-entry)
-			r.record(c, tm.TxEvent{Kind: tm.TxEvCommit, Path: tm.PathSW,
-				Aborter: sim.NoCore, Addr: sim.NoAddr,
-				Reads: uint32(len(t.reads)), Writes: uint32(len(t.writes)), Cycles: c.Now() - attemptStart})
+			a.Commit(tm.PathSW, len(t.reads), len(t.writes))
 			t.swReset()
-			c.Trace(sim.TraceTxCommit, 0)
-			c.SetCategory(sim.CatNonInstr)
 			return
 		}
 
 		// Aborted: the redo log is simply discarded — nothing was
 		// published, so there is no undo.
-		c.MoveToAbort(snap)
-		c.Trace(sim.TraceTxAbort, 0)
-		r.record(c, tm.TxEvent{Kind: tm.TxEvAbort, Path: tm.PathSW,
-			STM: true, Aborter: t.lastBy, Addr: t.lastAddr,
-			Reads: uint32(len(t.reads)), Writes: uint32(len(t.writes)), Cycles: c.Now() - attemptStart})
-		c.SetCategory(sim.CatAbort)
+		a.Abort(tm.TxEvent{Path: tm.PathSW, STM: true, Aborter: t.lastBy, Addr: t.lastAddr,
+			Reads: uint32(len(t.reads)), Writes: uint32(len(t.writes))})
 		st.STMAborts++
 		retries++
 		force := t.forceSerial
@@ -481,13 +410,11 @@ func (r *Runtime) runSW(c *sim.CPU, t *hyTx, body func(tx tm.Tx)) {
 		if force || retries >= r.cfg.MaxSWAttempts {
 			r.met.swAttempts.Observe(id, uint64(retries))
 			r.met.swCycles.Add(id, c.Now()-entry)
-			c.Trace(sim.TraceTxFallback, uint64(tm.PathSerial))
-			r.record(c, tm.TxEvent{Kind: tm.TxEvFallback, Path: tm.PathSerial,
-				Aborter: sim.NoCore, Addr: sim.NoAddr})
+			r.Fallback(c, tm.PathSerial)
 			r.runSerial(c, t, body)
 			return
 		}
-		r.backoff(c, retries)
+		tm.Backoff(c, retries, r.cfg.BackoffMax, r.met.backoff)
 	}
 }
 
@@ -499,9 +426,7 @@ func (r *Runtime) runSW(c *sim.CPU, t *hyTx, body func(tx tm.Tx)) {
 func (r *Runtime) runSerial(c *sim.CPU, t *hyTx, body func(tx tm.Tx)) {
 	id := c.ID()
 	st := &r.stats[id]
-	c.SetCategory(sim.CatTxStartCommit)
-	c.Trace(sim.TraceTxBegin, 0)
-	attemptStart := c.Now()
+	a := r.Attempt(c)
 	var seq mem.Word
 	for {
 		s := c.Load(r.swSeq)
@@ -524,16 +449,13 @@ func (r *Runtime) runSerial(c *sim.CPU, t *hyTx, body func(tx tm.Tx)) {
 	c.SetCategory(sim.CatTxApp)
 	body(t)
 	c.SetCategory(sim.CatTxStartCommit)
-	r.notifyCommit(c, true) // before the release: the seqlock is the commit point
+	r.CommitPoint(c, true) // before the release: the seqlock is the commit point
 	c.Store(r.swSeq, seq+2)
 	r.met.serialCycles.Add(id, c.Now()-held)
 	t.mode = modeHW
 	st.Commits++
 	st.Serial++
-	c.Trace(sim.TraceTxCommit, 0)
-	r.record(c, tm.TxEvent{Kind: tm.TxEvCommit, Path: tm.PathSerial,
-		Aborter: sim.NoCore, Addr: sim.NoAddr, Cycles: c.Now() - attemptStart})
-	c.SetCategory(sim.CatNonInstr)
+	a.Commit(tm.PathSerial, 0, 0)
 }
 
 // --- transaction descriptor ------------------------------------------------

@@ -46,8 +46,8 @@ type Config struct {
 	// litmus suite's privatization test catches exactly this). On by
 	// default; the litmus matrix pins the unsafe behaviour as a regression.
 	PrivatizationSafe bool
-	// Backoff bounds (cycles).
-	BackoffBase, BackoffMax uint64
+	// BackoffMax caps the exponential back-off (cycles; see tm.Backoff).
+	BackoffMax uint64
 
 	// Software path lengths, in instructions (beyond the memory traffic,
 	// which is charged by the cache model).
@@ -63,7 +63,6 @@ func DefaultConfig() Config {
 		LockBits:               18,
 		MaxRetriesBeforeSerial: 64,
 		PrivatizationSafe:      true,
-		BackoffBase:            64,
 		BackoffMax:             1 << 16,
 		BeginInstr:             70,
 		CommitInstr:            30,
@@ -84,6 +83,8 @@ func versionWord(ts uint64) mem.Word { return mem.Word(ts << 1) }
 
 // Runtime implements tm.Runtime with the TinySTM algorithm.
 type Runtime struct {
+	tm.Emitter // lifecycle reporting; provides SetCommitHook/SetProfiler
+
 	m    *sim.Machine
 	heap *tm.Heap
 	cfg  Config
@@ -92,7 +93,7 @@ type Runtime struct {
 	lockBase  mem.Addr // versioned-lock array
 	lockMask  uint64
 
-	serialLock mem.Addr // irrevocable-mode token
+	serial tm.SerialToken // irrevocable-mode token
 
 	// statusBase is the per-core published transaction status used by
 	// commit-time quiescence, one cache line per core. The word encodes
@@ -104,32 +105,7 @@ type Runtime struct {
 	stats []tm.Stats
 	descs []*txDesc
 
-	hook tm.CommitHook
-	prof tm.TxProfiler
-
 	met rtMetrics
-}
-
-// SetCommitHook implements tm.HookableRuntime.
-func (r *Runtime) SetCommitHook(h tm.CommitHook) { r.hook = h }
-
-// SetProfiler implements tm.ProfilableRuntime.
-func (r *Runtime) SetProfiler(p tm.TxProfiler) { r.prof = p }
-
-// record feeds the flight recorder (nil check = the disabled-path cost).
-func (r *Runtime) record(c *sim.CPU, ev tm.TxEvent) {
-	if r.prof != nil {
-		ev.Time = c.Now()
-		r.prof.Record(c.ID(), ev)
-	}
-}
-
-// notifyCommit reports a commit to the hook under the global turn (see
-// tm.CommitHook).
-func (r *Runtime) notifyCommit(c *sim.CPU, serial bool) {
-	if r.hook != nil {
-		c.SpecOp(0, func() { r.hook(c.ID(), serial) })
-	}
 }
 
 // rtMetrics holds the runtime's metric handles (zero-value inert).
@@ -142,10 +118,6 @@ type rtMetrics struct {
 	// Read/write-set sizes (in entries) observed at commit.
 	readCommit  metrics.Histogram
 	writeCommit metrics.Histogram
-	// serialEntries counts entries into serial-irrevocable mode;
-	// serialCycles accumulates simulated cycles the global token was held.
-	serialEntries metrics.Counter
-	serialCycles  metrics.Counter
 }
 
 // SetMetrics registers the runtime's instruments with reg. Must be called
@@ -156,8 +128,10 @@ func (r *Runtime) SetMetrics(reg *metrics.Registry) {
 	sizes := metrics.PowersOfTwo(10)
 	r.met.readCommit = reg.Histogram("stm/readset_entries/commit", sizes)
 	r.met.writeCommit = reg.Histogram("stm/writeset_entries/commit", sizes)
-	r.met.serialEntries = reg.Counter("stm/serial_entries")
-	r.met.serialCycles = reg.Counter("stm/serial_cycles")
+	// Entries into serial-irrevocable mode, and simulated cycles the
+	// global token was held.
+	r.serial.Entries = reg.Counter("stm/serial_entries")
+	r.serial.Cycles = reg.Counter("stm/serial_cycles")
 }
 
 type readEntry struct {
@@ -211,7 +185,7 @@ func New(m *sim.Machine, heap *tm.Heap, layout *mem.Layout) *Runtime {
 	base, end := layout.Region(nLocks*mem.WordSize + 2*mem.PageSize)
 	m.Mem.Prefault(base, uint64(end-base))
 	r.clockAddr = base
-	r.serialLock = base + mem.LineSize
+	r.serial.Addr = base + mem.LineSize
 	r.lockBase = base + mem.PageSize
 	r.lockMask = nLocks - 1
 
@@ -308,16 +282,10 @@ func (r *Runtime) Atomic(c *sim.CPU, body func(tx tm.Tx)) {
 	t.c = c
 	st := &r.stats[c.ID()]
 
+	r.Begin(c, tm.PathSW)
 	retries := 0
 	for {
-		c.SetCategory(sim.CatTxStartCommit)
-		snap := c.Counters()
-		c.Trace(sim.TraceTxBegin, 0)
-		attemptStart := c.Now()
-		if retries == 0 {
-			r.record(c, tm.TxEvent{Kind: tm.TxEvBegin, Path: tm.PathSW,
-				Aborter: sim.NoCore, Addr: sim.NoAddr})
-		}
+		a := r.Attempt(c)
 		t.begin()
 
 		committed := func() (committed bool) {
@@ -340,99 +308,53 @@ func (r *Runtime) Atomic(c *sim.CPU, body func(tx tm.Tx)) {
 		}()
 
 		if committed {
-			r.notifyCommit(c, t.serial)
+			r.CommitPoint(c, t.serial)
+			path := tm.PathSW
 			if t.serial {
-				r.releaseSerial(c)
-				r.met.serialCycles.Add(c.ID(), c.Now()-t.serialStart)
+				r.serial.Release(c, t.serialStart)
 				st.Serial++
+				path = tm.PathSerial
 			}
 			id := c.ID()
 			r.met.attempts.Observe(id, uint64(retries+1))
 			r.met.readCommit.Observe(id, uint64(len(t.reads)))
 			r.met.writeCommit.Observe(id, uint64(len(t.writes)))
-			if r.prof != nil {
-				path := tm.PathSW
-				if t.serial {
-					path = tm.PathSerial
-				}
-				r.record(c, tm.TxEvent{Kind: tm.TxEvCommit, Path: path,
-					Aborter: sim.NoCore, Addr: sim.NoAddr,
-					Reads: uint32(len(t.reads)), Writes: uint32(len(t.writes)),
-					Cycles: c.Now() - attemptStart})
-			}
+			a.Commit(path, len(t.reads), len(t.writes))
 			t.reset()
 			st.Commits++
-			c.Trace(sim.TraceTxCommit, 0)
-			c.SetCategory(sim.CatNonInstr)
 			return
 		}
 
 		// Aborted: roll back in-place writes, release locks, back off.
 		t.undo()
 		t.publishStatus(false)
-		c.MoveToAbort(snap)
-		c.Trace(sim.TraceTxAbort, 0)
-		if r.prof != nil {
-			r.record(c, tm.TxEvent{Kind: tm.TxEvAbort, Path: tm.PathSW, STM: true,
-				Aborter: t.lastBy, Addr: t.lastAddr,
-				Reads: uint32(len(t.reads)), Writes: uint32(len(t.writes)),
-				Cycles: c.Now() - attemptStart})
-		}
-		c.SetCategory(sim.CatAbort)
+		a.Abort(tm.TxEvent{Path: tm.PathSW, STM: true, Aborter: t.lastBy, Addr: t.lastAddr,
+			Reads: uint32(len(t.reads)), Writes: uint32(len(t.writes))})
 		st.STMAborts++
 		retries++
 		t.reset()
-		r.backoff(c, retries)
+		tm.Backoff(c, retries, r.cfg.BackoffMax, r.met.backoff)
 		if retries >= r.cfg.MaxRetriesBeforeSerial || t.forceSerial {
+			// Irrevocable: every other transaction fails validation
+			// against the in-place writes and waits out the token.
 			t.forceSerial = false
-			c.Trace(sim.TraceTxFallback, uint64(tm.PathSerial))
-			r.record(c, tm.TxEvent{Kind: tm.TxEvFallback, Path: tm.PathSerial,
-				Aborter: sim.NoCore, Addr: sim.NoAddr})
-			r.acquireSerial(c)
-			r.met.serialEntries.Inc(c.ID())
-			t.serialStart = c.Now()
+			r.Fallback(c, tm.PathSerial)
+			t.serialStart = r.serial.Acquire(c)
 			t.serial = true
 		}
 	}
 }
-
-func (r *Runtime) backoff(c *sim.CPU, attempt int) {
-	limit := r.cfg.BackoffBase << uint(min(attempt, 10))
-	if limit > r.cfg.BackoffMax {
-		limit = r.cfg.BackoffMax
-	}
-	delay := uint64(c.Rand().Int63n(int64(limit))) + 1
-	r.met.backoff.Observe(c.ID(), delay)
-	c.Cycles(delay)
-}
-
-// acquireSerial makes the transaction irrevocable: all other transactions
-// will fail validation against its in-place writes and wait out the token.
-func (r *Runtime) acquireSerial(c *sim.CPU) {
-	for {
-		if _, ok := c.CAS(r.serialLock, 0, 1); ok {
-			return
-		}
-		c.Cycles(uint64(c.Rand().Int63n(400)) + 100)
-	}
-}
-
-func (r *Runtime) releaseSerial(c *sim.CPU) { c.Store(r.serialLock, 0) }
 
 // --- transaction descriptor ----------------------------------------------
 
 func (t *txDesc) begin() {
 	c := t.c
 	c.Exec(t.r.cfg.BeginInstr)
-	if t.serial {
-		// Irrevocable: already holds the token; run with locking but
-		// without the possibility of self-abort.
-		_ = 0
-	} else if t.r.m.Config().Cores > 1 {
-		// Wait for any irrevocable transaction to drain.
-		for c.Load(t.r.serialLock) != 0 {
-			c.Cycles(200)
-		}
+	// An irrevocable transaction already holds the token and runs with
+	// locking but without the possibility of self-abort; the others wait
+	// for any irrevocable transaction to drain.
+	if !t.serial && t.r.m.Config().Cores > 1 {
+		t.r.serial.Wait(c)
 	}
 	t.start = versionOf(c.Load(t.r.clockAddr) &^ 1)
 	t.active = true
@@ -579,8 +501,8 @@ func (t *txDesc) commit() {
 	// started: it reads in place without logging, so we must not publish
 	// underneath it. (It spins on our locks, so once it can read our
 	// words we have either fully committed or fully undone.)
-	if !t.serial && c.Load(t.r.serialLock) != 0 {
-		t.abortDue(sim.NoCore, t.r.serialLock)
+	if !t.serial && c.Load(t.r.serial.Addr) != 0 {
+		t.abortDue(sim.NoCore, t.r.serial.Addr)
 	}
 	ts := uint64(c.FetchAdd(t.r.clockAddr, 2))>>1 + 1
 	if ts > t.start+1 {
