@@ -12,15 +12,11 @@ import (
 
 // Runtime implements tm.Runtime by running bodies directly.
 type Runtime struct {
+	tm.Emitter // lifecycle reporting; provides SetCommitHook/SetProfiler
+
 	heap  *tm.Heap
 	stats []tm.Stats
-	hook  tm.CommitHook
 }
-
-// SetCommitHook implements tm.HookableRuntime. With a single thread the
-// global order is the program order, but the litmus suite installs the hook
-// uniformly across runtimes.
-func (r *Runtime) SetCommitHook(h tm.CommitHook) { r.hook = h }
 
 // New builds the sequential runtime.
 func New(heap *tm.Heap, cores int) *Runtime {
@@ -40,13 +36,17 @@ func (r *Runtime) ResetStats() {
 	}
 }
 
-// Atomic implements tm.Runtime: the body runs inline, uninstrumented.
+// Atomic implements tm.Runtime: the body runs inline, uninstrumented. Each
+// call still reports a begin and a commit on the serial path, so the trace
+// analysis, the Chrome export and the flight recorder see the baseline's
+// transactions; its cycles stay in the caller's category.
 func (r *Runtime) Atomic(c *sim.CPU, body func(tx tm.Tx)) {
+	r.Begin(c, tm.PathSerial)
+	a := r.Inline(c)
 	body(&seqTx{r: r, c: c})
 	r.stats[c.ID()].Commits++
-	if r.hook != nil {
-		c.SpecOp(0, func() { r.hook(c.ID(), false) })
-	}
+	r.CommitPoint(c, false)
+	a.Commit(tm.PathSerial, 0, 0)
 }
 
 type seqTx struct {

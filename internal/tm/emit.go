@@ -65,23 +65,33 @@ func (e *Emitter) CommitPoint(c *sim.CPU, serial bool) {
 // The attempt must end in Commit, Abort or Unwind.
 func (e *Emitter) Attempt(c *sim.CPU) Attempt {
 	c.SetCategory(sim.CatTxStartCommit)
-	a := Attempt{e: e, c: c, snap: c.Counters()}
+	a := Attempt{e: e, c: c, snap: c.Counters(), framed: true}
 	c.Trace(sim.TraceTxBegin, 0)
 	a.start = c.Now()
 	return a
 }
 
+// Inline opens an attempt that leaves the core's cycle accounting alone,
+// for the sequential baseline: its bodies run uninstrumented, in the
+// caller's category, and never abort.
+func (e *Emitter) Inline(c *sim.CPU) Attempt {
+	c.Trace(sim.TraceTxBegin, 0)
+	return Attempt{e: e, c: c, start: c.Now()}
+}
+
 // Attempt is one open attempt frame (see Emitter.Attempt). It lives on the
 // runtime's stack; opening and closing one never allocates.
 type Attempt struct {
-	e     *Emitter
-	c     *sim.CPU
-	snap  sim.Breakdown
-	start uint64
+	e      *Emitter
+	c      *sim.CPU
+	snap   sim.Breakdown
+	start  uint64
+	framed bool // opened by Attempt, not Inline
 }
 
 // Commit closes a committed attempt on path, with its final read/write-set
-// sizes, and returns the core to the non-instrumented category.
+// sizes, and returns a framed attempt's core to the non-instrumented
+// category.
 func (a *Attempt) Commit(path TxPath, reads, writes int) {
 	c := a.c
 	c.Trace(sim.TraceTxCommit, 0)
@@ -89,7 +99,9 @@ func (a *Attempt) Commit(path TxPath, reads, writes int) {
 		a.e.record(c, TxEvent{Kind: TxEvCommit, Path: path, Aborter: sim.NoCore, Addr: sim.NoAddr,
 			Reads: uint32(reads), Writes: uint32(writes), Cycles: c.Now() - a.start})
 	}
-	c.SetCategory(sim.CatNonInstr)
+	if a.framed {
+		c.SetCategory(sim.CatNonInstr)
+	}
 }
 
 // Abort closes an aborted attempt. ev carries the path, the cause (Cause

@@ -47,17 +47,22 @@ func runTraced(t *testing.T, rt string, threads int) (off, on sim.Breakdown, com
 
 // TestOfflineMatchesOnline: the paper's offline trace analysis must agree
 // with the online per-category counters — the same breakdown computed two
-// independent ways.
+// independent ways — and count every commit, on every runtime (LLB-256
+// also on one core; the sequential baseline only runs on one).
 func TestOfflineMatchesOnline(t *testing.T) {
-	for _, cfg := range []struct {
+	type cell struct {
 		rt      string
 		threads int
-	}{
-		{"LLB-256", 1},
-		{"LLB-256", 4},
-		{"LLB-8", 4},
-		{"STM", 4},
-	} {
+	}
+	cells := []cell{{"LLB-256", 1}}
+	for _, rt := range asfstack.RuntimeNames {
+		threads := 4
+		if rt == "Sequential" {
+			threads = 1
+		}
+		cells = append(cells, cell{rt, threads})
+	}
+	for _, cfg := range cells {
 		t.Run(cfg.rt, func(t *testing.T) {
 			off, on, commits := runTraced(t, cfg.rt, cfg.threads)
 			if commits != uint64(cfg.threads*200) {
