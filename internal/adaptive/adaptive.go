@@ -402,17 +402,7 @@ func (r *Runtime) afterTx(c *sim.CPU, mode int) {
 	// The core's own inner stats are safe to read on its own goroutine.
 	cur := r.inner[mode].Stats(id)
 	delta := cur
-	prev := r.prev[id][mode]
-	delta.Commits -= prev.Commits
-	delta.Serial -= prev.Serial
-	delta.SWCommits -= prev.SWCommits
-	for i := range delta.Aborts {
-		delta.Aborts[i] -= prev.Aborts[i]
-	}
-	delta.MallocAborts -= prev.MallocAborts
-	delta.STMAborts -= prev.STMAborts
-	delta.SeqAborts -= prev.SeqAborts
-	delta.Seals -= prev.Seals
+	delta.Sub(r.prev[id][mode])
 	r.prev[id][mode] = cur
 
 	target := -1

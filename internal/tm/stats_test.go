@@ -30,4 +30,19 @@ func TestStatsArithmetic(t *testing.T) {
 		b.Serial != 2 || b.STMAborts != 4 || b.MallocAborts != 1 {
 		t.Errorf("Add result = %+v", b)
 	}
+
+	// Sub undoes Add field by field, including the fields a leaves zero
+	// above.
+	a.SWCommits, a.SeqAborts, a.Seals = 7, 6, 9
+	a.Aborts[sim.AbortPageFault] = 11
+	orig := b
+	b.Add(a)
+	b.Sub(a)
+	if b != orig {
+		t.Errorf("Add then Sub = %+v, want %+v", b, orig)
+	}
+	b.Sub(orig)
+	if b != (Stats{}) {
+		t.Errorf("Sub of itself = %+v, want zero", b)
+	}
 }

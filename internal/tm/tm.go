@@ -120,6 +120,21 @@ func (s *Stats) Add(o Stats) {
 	s.Seals += o.Seals
 }
 
+// Sub removes other from s (the delta between two snapshots of one core's
+// counters).
+func (s *Stats) Sub(o Stats) {
+	s.Commits -= o.Commits
+	s.Serial -= o.Serial
+	s.SWCommits -= o.SWCommits
+	for i := range s.Aborts {
+		s.Aborts[i] -= o.Aborts[i]
+	}
+	s.MallocAborts -= o.MallocAborts
+	s.STMAborts -= o.STMAborts
+	s.SeqAborts -= o.SeqAborts
+	s.Seals -= o.Seals
+}
+
 // Explicit-abort software codes (carried in rAX by the ABORT instruction).
 const (
 	// CodeMallocRefill: the transactional allocator ran out of pool and
