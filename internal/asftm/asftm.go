@@ -87,8 +87,6 @@ type rtMetrics struct {
 func (r *Runtime) SetMetrics(reg *metrics.Registry) {
 	r.met.hwAttempts = reg.Histogram("asftm/hw_attempts", metrics.PowersOfTwo(6))
 	r.met.backoff = reg.Histogram("asftm/backoff_cycles", metrics.PowersOfTwo(16))
-	// Entries into serial-irrevocable mode, and simulated cycles the
-	// global token was held.
 	r.serial.Entries = reg.Counter("asftm/serial_entries")
 	r.serial.Cycles = reg.Counter("asftm/serial_cycles")
 }

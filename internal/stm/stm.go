@@ -128,8 +128,6 @@ func (r *Runtime) SetMetrics(reg *metrics.Registry) {
 	sizes := metrics.PowersOfTwo(10)
 	r.met.readCommit = reg.Histogram("stm/readset_entries/commit", sizes)
 	r.met.writeCommit = reg.Histogram("stm/writeset_entries/commit", sizes)
-	// Entries into serial-irrevocable mode, and simulated cycles the
-	// global token was held.
 	r.serial.Entries = reg.Counter("stm/serial_entries")
 	r.serial.Cycles = reg.Counter("stm/serial_cycles")
 }
